@@ -37,7 +37,21 @@ class BlockLevel(enum.Enum):
 
 
 class AccessRecord:
-    """One dynamic memory access flowing through the simulated hardware."""
+    """One dynamic memory access flowing through the simulated hardware.
+
+    A ``__slots__`` class whose ``is_sync`` / ``has_read`` / ``has_write``
+    flags are copied from ``kind`` once, at construction: the simulator
+    reads them on every protocol step.  ``kind`` is therefore fixed for
+    the record's lifetime -- build a new record to reclassify an access.
+    """
+
+    __slots__ = (
+        "uid", "proc", "po_index", "kind", "location", "write_value",
+        "value_read", "is_sync", "has_read", "has_write",
+        "generate_time", "commit_time", "gp_time",
+        "missed", "nacks", "buffered",
+        "_commit_callbacks", "_gp_callbacks",
+    )
 
     def __init__(
         self,
@@ -55,6 +69,10 @@ class AccessRecord:
         self.location = location
         self.write_value = write_value
         self.value_read: Optional[Value] = None
+        #: Classification shortcuts, resolved from ``kind``.
+        self.is_sync: bool = kind.is_sync
+        self.has_read: bool = kind.has_read
+        self.has_write: bool = kind.has_write
 
         self.generate_time: Optional[int] = None
         self.commit_time: Optional[int] = None
@@ -71,23 +89,6 @@ class AccessRecord:
 
         self._commit_callbacks: List[Callable[["AccessRecord"], None]] = []
         self._gp_callbacks: List[Callable[["AccessRecord"], None]] = []
-
-    # -- classification shortcuts ------------------------------------------
-
-    @property
-    def is_sync(self) -> bool:
-        """True for synchronization operations."""
-        return self.kind.is_sync
-
-    @property
-    def has_read(self) -> bool:
-        """True if the access has a read component."""
-        return self.kind.has_read
-
-    @property
-    def has_write(self) -> bool:
-        """True if the access has a write component."""
-        return self.kind.has_write
 
     # -- lifecycle -----------------------------------------------------------
 

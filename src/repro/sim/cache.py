@@ -147,7 +147,10 @@ class CacheController:
 
     def line(self, location: Location) -> CacheLine:
         """The (possibly invalid) line for ``location``."""
-        return self.lines.setdefault(location, CacheLine())
+        line = self.lines.get(location)
+        if line is None:
+            line = self.lines[location] = CacheLine()
+        return line
 
     # ------------------------------------------------------------------
     # Dispatch

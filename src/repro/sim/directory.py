@@ -78,7 +78,10 @@ class Directory:
 
     def entry(self, location: Location) -> DirectoryEntry:
         """The directory entry for ``location``."""
-        return self.entries.setdefault(location, DirectoryEntry())
+        entry = self.entries.get(location)
+        if entry is None:
+            entry = self.entries[location] = DirectoryEntry()
+        return entry
 
     # ------------------------------------------------------------------
 
@@ -208,7 +211,10 @@ class Directory:
                 )
             )
             return
-        others = entry.sharers - {requester}
+        # Sorted: the fan-out order fixes the order of the network's
+        # jitter draws, and a set of strings iterates in hash order, which
+        # would tie every run to the interpreter's hash seed.
+        others = sorted(entry.sharers - {requester})
         entry.owner = requester
         entry.sharers = set()
         # Data goes to the requester in parallel with the invalidations.

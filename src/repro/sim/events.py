@@ -9,7 +9,7 @@ deterministic), so a run is reproducible from its configuration and seed.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -26,37 +26,32 @@ class Simulator:
     so every hardware component reaches it through its ``sim`` reference;
     the default is the zero-cost null tracer, and instrumentation sites
     gate on ``tracer.enabled`` before building any event.
+
+    ``now`` (current simulated time in cycles) and ``events_executed``
+    (events run so far, for runaway detection and stats) are plain
+    attributes: every component reads the clock on its hot path.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
-        self._now = 0
+        self.now = 0
+        self.events_executed = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
-        self._events_executed = 0
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in cycles."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of events executed so far (for runaway detection/stats)."""
-        return self._events_executed
 
     def at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past ({time} < {self._now})")
-        heapq.heappush(self._queue, (time, self._seq, callback))
+        if time < self.now:
+            raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
+        heappush(self._queue, (time, self._seq, callback))
         self._seq += 1
 
     def after(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.at(self._now + delay, callback)
+        heappush(self._queue, (self.now + delay, self._seq, callback))
+        self._seq += 1
 
     def pending(self) -> int:
         """Number of queued events."""
@@ -74,17 +69,32 @@ class Simulator:
         ``stop_when`` predicate holds between events, or ``max_events``
         fire (raising, to catch runaway simulations).
         """
-        while self._queue:
+        queue = self._queue
+        if until is None and stop_when is None:
+            # The common case (every campaign run): nothing to test
+            # between events but the runaway guard.
+            while queue:
+                self.now, _, callback = heappop(queue)
+                callback()
+                self.events_executed += 1
+                if self.events_executed > max_events:
+                    self._runaway(max_events)
+            return
+        while queue:
             if stop_when is not None and stop_when():
                 return
-            time, _, callback = self._queue[0]
+            time, _, callback = queue[0]
             if until is not None and time > until:
                 return
-            heapq.heappop(self._queue)
-            self._now = time
+            heappop(queue)
+            self.now = time
             callback()
-            self._events_executed += 1
-            if self._events_executed > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; simulation is likely stuck"
-                )
+            self.events_executed += 1
+            if self.events_executed > max_events:
+                self._runaway(max_events)
+
+    @staticmethod
+    def _runaway(max_events: int) -> None:
+        raise SimulationError(
+            f"exceeded {max_events} events; simulation is likely stuck"
+        )

@@ -71,7 +71,7 @@ class MsgKind(enum.Enum):
     WB_OK = "wb_ok"          # directory -> cache: eviction acknowledged
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One interconnect message.
 
@@ -89,6 +89,8 @@ class Message:
             reserve-bit stall to remote synchronization requests).
         access_uid: Uid of the originating access, for tracing.
         msg_id: Unique id, for deterministic tie-breaking and debugging.
+
+    Slotted: every hardware run builds a few dozen messages.
     """
 
     kind: MsgKind

@@ -240,12 +240,12 @@ class Processor:
 
     def _issue_request(self, request: MemRequest) -> None:
         access = AccessRecord(
-            uid=self._uid_allocator(),
-            proc=self.proc_id,
-            po_index=self._po_index,
-            kind=request.kind,
-            location=request.location,
-            write_value=request.write_value,
+            self._uid_allocator(),
+            self.proc_id,
+            self._po_index,
+            request.kind,
+            request.location,
+            request.write_value,
         )
         self._po_index += 1
         self._current_request = request

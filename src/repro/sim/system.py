@@ -9,12 +9,13 @@ the hardware execution trace (accesses in commit order) for verification.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
-from repro.core.execution import Execution, Result, final_memory_from_dict
+from repro.core.execution import Execution, Result
 from repro.core.ops import Operation
 from repro.core.types import Location, Value
 from repro.machine.program import Program
@@ -155,7 +156,6 @@ class MachineRun:
     policy_name: str
     config: SystemConfig
     result: Result
-    execution: Execution
     cycles: int
     proc_stats: List[ProcessorStats]
     messages_sent: int
@@ -170,6 +170,40 @@ class MachineRun:
     directory_stats: Dict[str, int] = field(default_factory=dict)
     #: Fault-injection counters for the run ({} when fault free).
     fault_stats: Dict[str, int] = field(default_factory=dict)
+    _execution: Optional[Execution] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def execution(self) -> Execution:
+        """The hardware execution: committed accesses in commit order.
+
+        Ties in commit time break by access uid.  Built on first read:
+        campaigns judge only ``result``, so a run pays for sorting and
+        freezing its accesses only when a caller asks for the trace.
+        """
+        if self._execution is None:
+            committed = sorted(
+                (a for per_proc in self.raw_accesses for a in per_proc
+                 if a.committed),
+                key=lambda a: (a.commit_time, a.uid),
+            )
+            ops = tuple(
+                Operation(
+                    uid=index,
+                    proc=access.proc,
+                    po_index=access.po_index,
+                    kind=access.kind,
+                    location=access.location,
+                    value_read=access.value_read,
+                    value_written=access.write_value if access.has_write else None,
+                )
+                for index, access in enumerate(committed)
+            )
+            self._execution = Execution(
+                self.program, ops, self.result.final_memory
+            )
+        return self._execution
 
     @property
     def total_stall_cycles(self) -> int:
@@ -330,13 +364,7 @@ def _run_processors(
     injector=NULL_INJECTOR,
 ) -> MachineRun:
     """Start one processor per thread, run to quiescence, package the run."""
-    uid_counter = {"next": 0}
-
-    def allocate_uid() -> int:
-        uid = uid_counter["next"]
-        uid_counter["next"] += 1
-        return uid
-
+    allocate_uid = itertools.count().__next__
     halted = {"count": 0}
 
     def on_halt(_proc: Processor) -> None:
@@ -466,24 +494,6 @@ def _package_run(
     reads = [p.read_values_in_program_order() for p in processors]
     result = Result.build(reads, final_memory)
 
-    committed = sorted(
-        (a for p in processors for a in p.accesses if a.committed),
-        key=lambda a: (a.commit_time, a.uid),
-    )
-    ops = tuple(
-        Operation(
-            uid=index,
-            proc=access.proc,
-            po_index=access.po_index,
-            kind=access.kind,
-            location=access.location,
-            value_read=access.value_read,
-            value_written=access.write_value if access.has_write else None,
-        )
-        for index, access in enumerate(committed)
-    )
-    execution = Execution(program, ops, final_memory_from_dict(final_memory))
-
     if sim.tracer.enabled:
         for processor in processors:
             track = f"P{processor.proc_id}"
@@ -514,7 +524,6 @@ def _package_run(
         policy_name=policy.name,
         config=config,
         result=result,
-        execution=execution,
         cycles=sim.now,
         proc_stats=[p.stats for p in processors],
         messages_sent=network.messages_sent,

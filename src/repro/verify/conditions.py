@@ -19,10 +19,12 @@ commit order of sync operations.
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.core.types import OpKind
 from repro.sim.access import AccessRecord
 from repro.sim.system import MachineRun
 
@@ -68,23 +70,37 @@ def check_conditions(
 
 def _demote_read_syncs(run: MachineRun):
     """A view of the run where SYNC_READ accesses count as data reads."""
-    import copy
-
-    from repro.core.types import OpKind
-
     view = copy.copy(run)
     view.raw_accesses = []
     for per_proc in run.raw_accesses:
         demoted = []
         for access in per_proc:
             if access.kind is OpKind.SYNC_READ:
-                clone = copy.copy(access)
-                clone.kind = OpKind.DATA_READ
-                demoted.append(clone)
+                demoted.append(_as_data_read(access))
             else:
                 demoted.append(access)
         view.raw_accesses.append(demoted)
     return view
+
+
+def _as_data_read(access: AccessRecord) -> AccessRecord:
+    """A DATA_READ copy of ``access`` with the same lifecycle timestamps.
+
+    Built through the constructor so the record's kind-derived flags
+    (``is_sync``, ``has_read``, ``has_write``) match the new kind.
+    """
+    clone = AccessRecord(
+        access.uid, access.proc, access.po_index, OpKind.DATA_READ,
+        access.location, access.write_value,
+    )
+    clone.value_read = access.value_read
+    clone.generate_time = access.generate_time
+    clone.commit_time = access.commit_time
+    clone.gp_time = access.gp_time
+    clone.missed = access.missed
+    clone.nacks = access.nacks
+    clone.buffered = access.buffered
+    return clone
 
 
 def _all_accesses(run: MachineRun) -> List[AccessRecord]:

@@ -30,13 +30,19 @@ records come back -- policy factories (often lambdas) are never pickled.
 On platforms without ``fork`` the engine transparently degrades to the
 in-process path (still memoized, still identical output).
 
+Pooled dispatch is completion-driven and pipelined: each worker has one
+task queued behind the one it is running (``2 x jobs`` leases in flight),
+and the parent wakes the moment a result lands instead of polling, so a
+worker never idles while the parent folds.
+
 Resilience (this layer's hardening, all preserving the bit-for-bit
 contract because tasks are pure -- re-executing one yields the identical
 value):
 
-* **per-task timeouts** -- a task that exceeds ``task_timeout`` seconds is
-  abandoned and resubmitted (the straggler's late result, if any, is
-  discarded);
+* **per-task timeouts** -- a task that *executes* for more than
+  ``task_timeout`` seconds is abandoned and resubmitted (the straggler's
+  late result, if any, is discarded); a lease queued behind a busy
+  worker is not charged until it enters the executing window;
 * **worker-crash detection** -- the pool's worker PID set is polled; when
   a worker dies (segfault, OOM kill), every in-flight task is resubmitted
   (duplicates are harmless, first completion wins);
@@ -81,11 +87,14 @@ across processes and across runs, three ways:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
 import signal
+import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -509,6 +518,15 @@ def _now_us() -> int:
 #: Sentinel marking a task slot whose value has not been produced yet.
 _UNSET = object()
 
+#: In-flight leases per pool worker: the one it is running plus one
+#: queued behind it, so a worker starts its next task without waiting
+#: for the parent to fold the last result.
+_LEASES_PER_WORKER = 2
+
+#: Longest the pooled dispatch loop waits for a landing before it checks
+#: timeouts and worker deaths anyway (seconds).
+_WAKE_TICK = 0.02
+
 #: Process-wide telemetry batch counter: every :meth:`_Session.map` call
 #: gets a fresh batch id so ``batch:index`` task keys are unique across
 #: all engines sharing one campaign monitor (chaos runs several).
@@ -536,12 +554,48 @@ def _balanced_chunks(items: Sequence, size: int) -> List[tuple]:
     return chunks
 
 
+def _fork_pool(processes: int):
+    """A fork pool whose worker-handler thread wakes only when needed.
+
+    The stock handler also wakes whenever a result waits unread in the
+    pool's outqueue, and spins until the result thread has read it: about
+    25 wakeups per result, ~0.12 s of the parent's CPU in a one-second
+    two-worker fuzz campaign, taken from the cores the workers run on.
+    ``_get_sentinels`` (CPython's list of what the handler waits on, next
+    to the worker sentinels) drops that outqueue.  The handler's real jobs
+    stay event-driven: a worker death wakes it through the worker
+    sentinels; an emptied task cache, ``close`` and ``terminate`` through
+    the pool's change notifier.
+
+    ``multiprocessing.pool`` is imported here, as ``Pool()`` itself does:
+    at module level it would add its imports to every CLI start.
+    """
+    import multiprocessing.pool
+
+    class _ForkPool(multiprocessing.pool.Pool):
+        def _get_sentinels(self):
+            return [self._change_notifier._reader]
+
+    return _ForkPool(
+        processes,
+        initializer=_worker_init,
+        context=multiprocessing.get_context("fork"),
+    )
+
+
 class _Session:
     """One engine call's dispatch surface: a pool, or the calling process."""
 
-    def __init__(self, pool, engine: Optional["VerificationEngine"] = None) -> None:
+    def __init__(
+        self,
+        pool,
+        engine: Optional["VerificationEngine"] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         self._pool = pool
         self._engine = engine
+        #: Time source for lease timeouts, backoff and ``task_seconds``.
+        self._clock = clock
         self._worker_pids: Set[int] = self._pool_pids()
         #: Async handles abandoned without a result (crashed or timed-out
         #: workers).  Each leaves a permanent entry in the pool's result
@@ -550,9 +604,10 @@ class _Session:
         #: with ``terminate`` instead.
         self.abandoned_handles = 0
         #: Wall seconds per task of the last :meth:`map` call, task-order
-        #: aligned (pooled tasks: submit-to-ready of the final attempt,
-        #: so includes ~20ms polling slack -- a scheduling signal, not a
-        #: benchmark).  Feeds the store's cost records.
+        #: aligned (pooled tasks: from the final attempt's entry into the
+        #: executing window to the parent folding its result -- a
+        #: scheduling signal, not a benchmark).  Feeds the store's cost
+        #: records.
         self.task_seconds: List[float] = []
 
     def _pool_pids(self) -> Set[int]:
@@ -615,17 +670,28 @@ class _Session:
     ) -> list:
         """Pooled evaluation that survives slow, crashed, and lying workers.
 
-        At most ``jobs`` tasks are in flight at a time (so a per-task
-        timeout measures actual execution, not queueing).  Lease
-        bookkeeping -- generations, retry budgets, exponential backoff,
-        and the exactly-once failure dedupe -- lives in
+        Dispatch is completion-driven and pipelined.  Up to
+        :data:`_LEASES_PER_WORKER` x ``jobs`` leases are in flight, so
+        each worker has a task queued behind the one it is running and
+        never idles while the parent folds a result.  The pool serves
+        its queue FIFO, so the oldest ``jobs`` in-flight leases are the
+        executing ones: a lease's timeout and cost clock start only when
+        it enters that window (a per-task timeout measures execution, not
+        queueing).  The pool's result thread appends each landing to a
+        queue and sets an event the loop waits on, so a result is folded
+        as soon as it lands; the wait is bounded by :data:`_WAKE_TICK` so
+        timeouts and worker deaths are still noticed.
+
+        Lease bookkeeping -- generations, retry budgets, exponential
+        backoff, and the exactly-once failure dedupe -- lives in
         :class:`~repro.verify.leases.TaskBoard`; this loop only moves
-        handles.  A task is resubmitted when it times out, when its
+        leases.  A task is resubmitted when it times out, when its
         worker raises, or when a pool worker dies *unattributed* while
         it is in flight (the board's crash credits attribute a worker
-        death to an already-handled timeout, so one wedged worker no
-        longer charges a task twice -- once at timeout, once when the
-        corpse is noticed).  A task that exhausts ``max_task_retries``
+        death to an already-handled timeout, so one wedged worker does
+        not charge a task twice -- once at timeout, once when the corpse
+        is noticed).  The late result of an abandoned lease is
+        discarded.  A task that exhausts ``max_task_retries``
         resubmissions is executed in the parent: the sweep always
         terminates with the exact serial output.
         """
@@ -635,6 +701,7 @@ class _Session:
         backoff = engine.retry_backoff if engine is not None else 0.05
         jobs = engine.jobs if engine is not None else (os.cpu_count() or 1)
         counters = engine.resilience if engine is not None else {}
+        clock = self._clock
 
         board = TaskBoard(
             len(tasks),
@@ -643,9 +710,23 @@ class _Session:
             counters=counters,
         )
         results: List[object] = [_UNSET] * len(tasks)
-        #: index -> (async handle, submit monotonic, lease generation)
-        inflight: Dict[int, Tuple[object, float, int]] = {}
+        #: index -> [lease generation, window-entry time or None], in
+        #: submission order; the first ``jobs`` entries are executing.
+        inflight: Dict[int, list] = {}
+        #: (index, generation, succeeded, value), appended by the pool's
+        #: result thread; drained only by this loop.
+        landed: deque = deque()
+        wake = threading.Event()
         batch = next(_TELEMETRY_BATCH)
+
+        def land(index: int, gen: int, ok: bool, value: object) -> None:
+            landed.append((index, gen, ok, value))
+            wake.set()
+
+        def promote(now: float) -> None:
+            for entry in itertools.islice(inflight.values(), jobs):
+                if entry[1] is None:
+                    entry[1] = now
 
         def finish(
             index: int, value: object, seconds: float = 0.0
@@ -664,28 +745,36 @@ class _Session:
             finish(index, value, time.perf_counter() - serial_start)
 
         def dispose(index: int, gen: int, kind: str) -> None:
-            if board.fail(index, gen, kind, time.monotonic()) == DEGRADE:
+            if board.fail(index, gen, kind, clock()) == DEGRADE:
                 run_serial(index, board.attempts.get(index, 0))
 
+        window = _LEASES_PER_WORKER * jobs
         while not board.finished:
-            now = time.monotonic()
-            while len(inflight) < jobs:
+            now = clock()
+            while len(inflight) < window:
                 lease = board.grant(now)
                 if lease is None:
                     break
+                index, gen = lease.task, lease.gen
                 # tag attempt numbering matches the serial path: first
                 # attempt is 0, so the lease generation shifts by one.
-                tag = (batch, lease.task, lease.gen - 1)
+                tag = (batch, index, gen - 1)
                 try:
-                    handle = self._pool.apply_async(
-                        _execute_task, (tasks[lease.task], tag)
+                    self._pool.apply_async(
+                        _execute_task,
+                        (tasks[index], tag),
+                        callback=functools.partial(land, index, gen, True),
+                        error_callback=functools.partial(
+                            land, index, gen, False
+                        ),
                     )
                 except Exception:
                     # The pool itself is unusable; finish in-process.
                     board.bump("degraded_to_serial")
-                    run_serial(lease.task, lease.gen - 1)
+                    run_serial(index, gen - 1)
                     continue
-                inflight[lease.task] = (handle, now, lease.gen)
+                inflight[index] = [gen, None]
+            promote(now)
             if not inflight:
                 if board.finished:
                     break
@@ -701,39 +790,45 @@ class _Session:
                     continue
                 # Every queued task is still backing off; sleep toward
                 # the earliest deadline (bounded, so Ctrl-C stays snappy).
-                time.sleep(min(max(not_before - time.monotonic(), 0), 0.05))
+                time.sleep(min(max(not_before - clock(), 0), 0.05))
                 continue
 
-            # Wait briefly on one handle, then scan them all.
-            next(iter(inflight.values()))[0].wait(0.02)
+            # Clear before draining: a landing after the drain re-sets
+            # the event, so the next wait returns at once.
+            wake.wait(_WAKE_TICK)
+            wake.clear()
             obs_stream.parent_poll()
+            now = clock()
 
             pids = self._pool_pids()
             deaths = len(self._worker_pids - pids) if pids else 0
             if pids:
                 self._worker_pids = pids
 
-            for index in list(inflight):
-                handle, submitted, gen = inflight[index]
-                if handle.ready():
-                    del inflight[index]
-                    try:
-                        value = handle.get()
-                    except Exception:
-                        dispose(index, gen, "task_errors")
-                    else:
-                        if board.complete(index, gen):
-                            finish(index, value, time.monotonic() - submitted)
-                elif (
-                    timeout is not None
-                    and time.monotonic() - submitted > timeout
-                ):
-                    del inflight[index]
-                    self.abandoned_handles += 1
-                    # The worker holding this lease is presumed wedged:
-                    # its eventual death is this same incident.
-                    board.bank_crash_credit()
-                    dispose(index, gen, "task_timeouts")
+            while landed:
+                index, gen, ok, value = landed.popleft()
+                entry = inflight.get(index)
+                if entry is None or entry[0] != gen:
+                    continue  # an abandoned lease's late result
+                del inflight[index]
+                started = entry[1] if entry[1] is not None else now
+                promote(now)
+                if not ok:
+                    dispose(index, gen, "task_errors")
+                elif board.complete(index, gen):
+                    finish(index, value, now - started)
+
+            if timeout is not None:
+                running = list(itertools.islice(inflight.items(), jobs))
+                for index, (gen, started) in running:
+                    if started is not None and now - started > timeout:
+                        del inflight[index]
+                        self.abandoned_handles += 1
+                        # The worker holding this lease is presumed
+                        # wedged: its eventual death is this same incident.
+                        board.bank_crash_credit()
+                        dispose(index, gen, "task_timeouts")
+                promote(now)
 
             if deaths:
                 board.bump("worker_crashes", deaths)
@@ -743,7 +838,7 @@ class _Session:
                     # lease (purity makes duplicates safe, the board's
                     # (task, gen) dedupe makes the charges exactly-once).
                     for index in list(inflight):
-                        _handle, _submitted, gen = inflight.pop(index)
+                        gen, _started = inflight.pop(index)
                         self.abandoned_handles += 1
                         dispose(index, gen, "")
         return results
@@ -956,9 +1051,7 @@ class VerificationEngine:
         session = None
         try:
             if self.jobs > 1 and self.can_fork:
-                pool = multiprocessing.get_context("fork").Pool(
-                    self.jobs, initializer=_worker_init
-                )
+                pool = _fork_pool(self.jobs)
             session = _Session(pool, self)
             yield session
         except BaseException:

@@ -74,7 +74,9 @@ from repro.verify.journal import decode_result, encode_result
 #: behavior: the guided SC-membership search, the DRF0 checkers, the
 #: hardware simulator, or the Result encoding.  A mismatch is a cold
 #: start -- stale segments are skipped, never reinterpreted.
-SEMANTICS_VERSION = "d2-oracle-1"
+#: ``d2-oracle-2``: the directory sends invalidations in sorted sharer
+#: order, so stored run summaries no longer depend on the hash seed.
+SEMANTICS_VERSION = "d2-oracle-2"
 
 #: On-disk segment layout version (header schema + record schemas).
 STORE_FORMAT = 1

@@ -1,6 +1,13 @@
 """Integration tests: full hardware runs across configurations and policies."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.contract import is_sc_result
 from repro.core.sc import sc_results
@@ -145,6 +152,13 @@ class TestRunMechanics:
             po = [op.po_index for op in run.execution.ops_of(proc)]
             assert po == sorted(po)
 
+    def test_execution_built_once_on_first_read(self):
+        run = run_on_hardware(
+            lock_increment_program(2), AdveHillPolicy(), SystemConfig(seed=1)
+        )
+        assert run.execution is run.execution
+        assert run.execution.result() == run.result
+
     def test_stats_populated(self):
         run = run_on_hardware(
             message_passing_program(), SCPolicy(), SystemConfig(seed=2)
@@ -248,3 +262,35 @@ class TestPerformanceShape:
         run_ah = run_on_hardware(program, AdveHillPolicy(), SystemConfig(seed=3))
         assert run_ah.proc_stats[0].gate_stall_cycles == 0
         assert run_def1.proc_stats[0].gate_stall_cycles > 0
+
+
+#: Prints one run's cycles and messages: fuzz program 1035 on 2-line
+#: caches, where three sharers of one line receive invalidations.
+_HASH_SEED_PROBE = """
+from repro.hw import Definition1Policy
+from repro.machine.generator import random_program
+from repro.sim.system import SystemConfig, run_on_hardware
+run = run_on_hardware(
+    random_program(1035), Definition1Policy(), SystemConfig(cache_capacity=2)
+)
+print(run.cycles, run.messages_sent)
+"""
+
+
+class TestHashSeedIndependence:
+    def _probe(self, hash_seed: str) -> str:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip()
+
+    def test_invalidation_fan_out_ignores_hash_seed(self):
+        # The directory's sharer set holds string node ids; iterating it
+        # unsorted once made this run take 79 or 81 cycles by hash seed.
+        assert self._probe("0") == self._probe("1")
