@@ -1243,6 +1243,16 @@ def cmd_campaigns(args) -> int:
     return 0
 
 
+def _print_memo_stats(command: str, memo: str, stats) -> None:
+    """Verdict-memo hit/miss counts go to stderr: they depend on what a
+    ``--cache-dir`` already holds, and stdout must not (a warm run prints
+    exactly what the cold run did).  ``--metrics-json`` keeps them too."""
+    print(
+        f"{command}: {memo} memo: {stats.hits} hits / {stats.misses} misses",
+        file=sys.stderr,
+    )
+
+
 def cmd_fuzz(args) -> int:
     from repro.verify.engine import VerificationEngine
 
@@ -1279,13 +1289,12 @@ def cmd_fuzz(args) -> int:
                 "failures": list(report.failures),
             },
         )
-    stats = engine.sc_cache.stats
     print(
         f"fuzz: {report.programs_run} programs, "
         f"{report.hardware_runs} hardware runs, "
-        f"{len(report.failures)} failures "
-        f"(SC memo: {stats.hits} hits / {stats.misses} misses)"
+        f"{len(report.failures)} failures"
     )
+    _print_memo_stats("fuzz", "SC", engine.sc_cache.stats)
     for failure in report.failures[:10]:
         print(f"  {failure}")
     if engine.store is not None:
@@ -1340,14 +1349,13 @@ def cmd_diff(args) -> int:
                 "disagreements": len(report.disagreements),
             },
         )
-    stats = engine.drf0_cache.stats
     print(
         f"diff: {report.programs_run} programs, "
         f"{report.comparisons} comparisons, "
         f"{report.hardware_runs} hardware runs, "
-        f"{len(report.disagreements)} disagreements "
-        f"(DRF0 memo: {stats.hits} hits / {stats.misses} misses)"
+        f"{len(report.disagreements)} disagreements"
     )
+    _print_memo_stats("diff", "DRF0", engine.drf0_cache.stats)
     for disagreement in report.disagreements[:10]:
         print(f"  seed {disagreement.seed} [{disagreement.kind}]: "
               f"{disagreement.detail}")

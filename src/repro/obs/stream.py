@@ -13,10 +13,10 @@ This module is the streaming channel that opens it up:
   into live aggregates (:class:`StreamFold`), which the progress engine
   turns into completion %, ETA, and worker-health rows.
 
-The spool uses the same lock-free per-writer-file idiom as the verdict
-store's segments: every writer opens ``hb-<pid>-<n>.jsonl`` with
-``O_CREAT | O_EXCL`` so no two processes ever share a file, every line
-carries a truncated-SHA-256 checksum of its payload, and the reader
+The spool is a :mod:`repro.log` file, like the verdict store's segments:
+every writer claims ``hb-<pid>-<n>.jsonl`` with ``O_CREAT | O_EXCL`` so
+no two processes ever share a file, every line carries a truncated
+SHA-256 checksum of its exact payload text, and the reader
 tolerates a torn tail (a record cut mid-write by a crash or a racing
 read simply stays unread until its newline lands; a checksum-failing
 complete line is dropped and counted).  All timestamps are
@@ -29,7 +29,7 @@ writer on first beat.  With nothing published, every hook in the hot
 paths is a single ``is None`` check -- the disabled-telemetry overhead
 the E16 benchmark gates at <= 1%.
 
-Record kinds (one JSON object per line, ``"c"`` = checksum field):
+Record kinds (one JSON object per line, ``"c"`` = checksum field, first):
 
 * ``meta``  -- spool header: format version, clock id, pid, role;
 * ``beat``  -- periodic liveness/throughput sample with *cumulative*
@@ -46,11 +46,10 @@ Record kinds (one JSON object per line, ``"c"`` = checksum field):
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Dict, List, Optional
 
+from repro import log
 from repro.obs.tracer import OBS_CLOCK, now_us
 
 #: Spool format version, stamped into every spool's meta header.
@@ -58,10 +57,6 @@ STREAM_FORMAT = 1
 
 #: Default seconds between heartbeat records per worker.
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
-
-
-def _line_checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def rss_kb() -> int:
@@ -120,40 +115,30 @@ class HeartbeatWriter:
         # Slots only move forward within a writer's lifetime (never back
         # to a pruned-and-freed number): a reader keys offsets by path,
         # so reusing a deleted slot would leave its new records beyond a
-        # stale offset, unread forever.
-        for seq in range(self._seq, self._seq + 10_000):
-            path = os.path.join(
-                self.spool_dir, f"hb-{self.pid}-{seq}.jsonl"
-            )
-            try:
-                fd = os.open(
-                    path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
-            except FileExistsError:
-                continue  # a previous incarnation of this pid; next slot
-            self._seq = seq + 1
-            self._fh = os.fdopen(fd, "w", encoding="utf-8")
-            self._emit(
-                {
-                    "kind": "meta",
-                    "format": STREAM_FORMAT,
-                    "clock": OBS_CLOCK,
-                    "ts": now_us(),
-                    "pid": self.pid,
-                    "worker": self.worker_id,
-                    "role": self.role,
-                }
-            )
-            return
-        raise OSError(f"no free heartbeat spool slot in {self.spool_dir}")
+        # stale offset, unread forever.  A taken slot belongs to a
+        # previous incarnation of this pid.
+        self._fh, seq = log.claim(
+            os.path.join(self.spool_dir, f"hb-{self.pid}-"),
+            ".jsonl",
+            start=self._seq,
+        )
+        self._seq = seq + 1
+        self._emit(
+            {
+                "kind": "meta",
+                "format": STREAM_FORMAT,
+                "clock": OBS_CLOCK,
+                "ts": now_us(),
+                "pid": self.pid,
+                "worker": self.worker_id,
+                "role": self.role,
+            }
+        )
 
     def _emit(self, record: dict) -> None:
         if self._fh is None:
             self._open()
-        payload = json.dumps(record, sort_keys=True)
-        record["c"] = _line_checksum(payload)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        log.append(self._fh, record)
         self.records_written += 1
 
     def add(self, **deltas: int) -> None:
@@ -362,22 +347,6 @@ def parent_poll() -> None:
 # ----------------------------------------------------------------------
 
 
-def _parse_line(line: bytes) -> Optional[dict]:
-    """Decode + checksum-verify one complete spool line (None = invalid)."""
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict):
-        return None
-    checksum = record.pop("c", None)
-    if checksum != _line_checksum(json.dumps(record, sort_keys=True)):
-        return None
-    if "kind" not in record:
-        return None
-    return record
-
-
 class SpoolReader:
     """Incremental tail over every spool file in a directory.
 
@@ -434,8 +403,11 @@ class SpoolReader:
             for line in data[:end].split(b"\n"):
                 if not line.strip():
                     continue
-                record = _parse_line(line)
-                if record is None:
+                try:
+                    record = log.decode(line.decode("utf-8"))
+                except UnicodeDecodeError:
+                    record = None
+                if record is None or "kind" not in record:
                     self.dropped_lines += 1
                 else:
                     self.records_read += 1

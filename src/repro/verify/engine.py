@@ -140,7 +140,7 @@ from repro.verify.journal import (
     sweep_signature,
 )
 from repro.verify.leases import DEGRADE, BackoffPolicy, TaskBoard
-from repro.verify.store import VerdictStore, cell_key, run_key
+from repro.verify.store import VerdictStore, cell_key, run_cell_key, run_key
 from repro.verify.sweeps import (
     Definition2Evidence,
     SweepReport,
@@ -1122,38 +1122,39 @@ class VerificationEngine:
         seeds: Sequence[int],
         per_cell: List[List[Optional[RunSummary]]],
         identities: Optional[List[Tuple[str, str]]],
-    ) -> Dict[Tuple[int, int], str]:
+    ) -> List[str]:
         """Fill sweep positions from stored run summaries.
 
-        Returns the run content key of *every* (cell, position) -- also
-        the ones left unfilled, so newly computed summaries can be
-        flushed under the same keys.
+        Returns every cell's :func:`run_cell_key` (none without a store),
+        so newly computed summaries can be flushed under
+        ``run_key(run_cell_keys[cell_index], seed)``.
         """
-        keys: Dict[Tuple[int, int], str] = {}
         if identities is None:
-            return keys
+            return []
         state = self.store.warm()
+        run_cell_keys = []
         for cell_index, cell in enumerate(cells):
             fingerprint, policy_name = identities[cell_index]
+            run_cell = run_cell_key(
+                fingerprint,
+                policy_name,
+                cell.config,
+                cell.check_51_conditions,
+            )
+            run_cell_keys.append(run_cell)
+            summaries = per_cell[cell_index]
             for pos, seed in enumerate(seeds):
-                key = run_key(
-                    fingerprint,
-                    policy_name,
-                    repr(cell.config.with_seed(seed)),
-                    cell.check_51_conditions,
-                )
-                keys[(cell_index, pos)] = key
-                if per_cell[cell_index][pos] is not None:
+                if summaries[pos] is not None:
                     continue
-                stored = state.runs.get(key)
+                stored = state.runs.get(run_key(run_cell, seed))
                 if stored is None:
                     continue
                 try:
-                    per_cell[cell_index][pos] = _decode_summary(stored)
+                    summaries[pos] = _decode_summary(stored)
                 except (KeyError, TypeError):
                     continue  # malformed payload: recompute this run
                 self.store.stats.runs_reused += 1
-        return keys
+        return run_cell_keys
 
     def _plan_run_tasks(
         self,
@@ -1519,7 +1520,9 @@ class VerificationEngine:
         cells = [cell]
         identities = self._cell_identities(cells)
         per_cell: List[List[Optional[RunSummary]]] = [[None] * len(seeds)]
-        run_keys = self._fill_from_store(cells, seeds, per_cell, identities)
+        run_cell_keys = self._fill_from_store(
+            cells, seeds, per_cell, identities
+        )
         if self.monitor is not None and self.monitor.claim_plan():
             self._owns_plan = True
             self.monitor.plan([(program.name, len(seeds), 0.0)])
@@ -1537,7 +1540,7 @@ class VerificationEngine:
                     cell_index, chunk = positions[index]
                     for pos, summary in zip(chunk, value):
                         self.store.record_run(
-                            run_keys[(cell_index, pos)],
+                            run_key(run_cell_keys[cell_index], seeds[pos]),
                             _encode_summary(summary),
                         )
 
@@ -1688,7 +1691,7 @@ class VerificationEngine:
                 ]
                 for (cell_index, pos), summary in journaled_runs.items():
                     per_cell[cell_index][pos] = summary
-                run_keys = self._fill_from_store(
+                run_cell_keys = self._fill_from_store(
                     cells, seeds, per_cell, identities
                 )
                 if self._owns_plan:
@@ -1730,7 +1733,8 @@ class VerificationEngine:
                             journal.record_run(cell_index, pos, encoded)
                         if self.store is not None:
                             self.store.record_run(
-                                run_keys[(cell_index, pos)], encoded
+                                run_key(run_cell_keys[cell_index], seeds[pos]),
+                                encoded,
                             )
 
                 values = session.map(

@@ -15,13 +15,14 @@ is an append-only JSONL file:
   values cannot collide), a DRF0 program verdict, or an SC-membership
   judgment -- and is flushed as soon as the unit completes.
 
-Every line carries a truncated SHA-256 checksum of its own payload.  A
-process killed mid-write leaves a partial last line; loading is
-**tolerant**: unparsable or checksum-failing lines are dropped (counted),
-never fatal, so a resumed sweep recomputes exactly the units that did not
-make it to disk.  A journal whose signature does not match the requested
-sweep is refused -- resuming someone else's checkpoint would splice wrong
-results into the output.
+Every line carries a truncated SHA-256 checksum of its own payload, in
+the line format of :mod:`repro.log` (shared with the verdict store and
+the heartbeat spool).  A process killed mid-write leaves a partial last
+line; loading is **tolerant**: unparsable or checksum-failing lines are
+dropped (counted), never fatal, so a resumed sweep recomputes exactly the
+units that did not make it to disk.  A journal whose signature does not
+match the requested sweep is refused -- resuming someone else's
+checkpoint would splice wrong results into the output.
 
 Continuation segments: a resuming writer never appends to the base file.
 A SIGKILLed predecessor usually leaves a torn final line, and ``open(...,
@@ -39,11 +40,11 @@ for a pure sweep both carry identical values anyway.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
+from repro import log
 from repro.core.execution import Result
 from repro.obs.tracer import OBS_CLOCK, now_us
 
@@ -78,10 +79,6 @@ def journal_files(path: str) -> List[str]:
     return files
 
 
-def _line_checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def encode_result(result: Result) -> dict:
     return {
         "reads": [list(reads) for reads in result.reads],
@@ -91,10 +88,8 @@ def encode_result(result: Result) -> dict:
 
 def decode_result(data: dict) -> Result:
     return Result(
-        reads=tuple(tuple(reads) for reads in data["reads"]),
-        final_memory=tuple(
-            (loc, value) for loc, value in data["mem"]
-        ),
+        reads=tuple(map(tuple, data["reads"])),
+        final_memory=tuple(map(tuple, data["mem"])),
     )
 
 
@@ -174,10 +169,8 @@ class CheckpointJournal:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                checksum = record.pop("c")
-                payload = json.dumps(record, sort_keys=True)
-                if checksum != _line_checksum(payload):
+                record = log.decode(line)
+                if record is None:
                     raise ValueError("checksum mismatch")
                 kind = record["kind"]
                 if kind == "meta":
@@ -215,7 +208,7 @@ class CheckpointJournal:
         if write_meta:
             self._fh = open(self.path, "w", encoding="utf-8")
         else:
-            self._fh = self._claim_segment()
+            self._fh, _ = log.claim(f"{self.path}.seg-", start=1)
         if write_meta:
             # ts_us/clock stamp the journal onto the shared obs timebase
             # (comparable with heartbeat and snapshot timestamps); the
@@ -229,26 +222,9 @@ class CheckpointJournal:
                 }
             )
 
-    def _claim_segment(self) -> IO[str]:
-        """Exclusively create the next free ``<path>.seg-N``."""
-        n = 1
-        while True:
-            candidate = f"{self.path}.seg-{n}"
-            try:
-                fd = os.open(
-                    candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
-            except FileExistsError:
-                n += 1
-                continue
-            return os.fdopen(fd, "w", encoding="utf-8")
-
     def _write(self, record: dict) -> None:
         assert self._fh is not None, "journal not open"
-        payload = json.dumps(record, sort_keys=True)
-        record["c"] = _line_checksum(payload)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        log.append(self._fh, record)
         self.records_written += 1
 
     def record_run(self, cell_index: int, pos: int, summary: dict) -> None:

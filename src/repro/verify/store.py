@@ -22,8 +22,9 @@ under a different semantics version is *stale* and silently skipped, so a
 semantics change means a cold start, never a wrong warm verdict.  Every
 subsequent line is one record -- an SC verdict, a DRF0 verdict, a run
 summary, a cost observation, or a serialized program (kept so ``repro
-cache audit`` can re-judge stored verdicts offline) -- carrying the same
-truncated-SHA-256 line checksum the checkpoint journal uses.
+cache audit`` can re-judge stored verdicts offline) -- in the checksummed
+line format of :mod:`repro.log`, shared with the checkpoint journal and
+the heartbeat spool.
 
 Integrity discipline (matching ``verify/cache.py`` / ``verify/journal.py``):
 
@@ -57,11 +58,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import log
 from repro.core.contract import is_sc_result
 from repro.core.execution import Result
 from repro.core.types import Condition
@@ -79,7 +80,9 @@ from repro.verify.journal import decode_result, encode_result
 SEMANTICS_VERSION = "d2-oracle-2"
 
 #: On-disk segment layout version (header schema + record schemas).
-STORE_FORMAT = 1
+#: Format 2 keys run summaries ``<run cell key>:<seed>`` (see
+#: :func:`run_cell_key`); format-1 segments are stale.
+STORE_FORMAT = 2
 
 _SEGMENT_PREFIX = "seg-"
 _QUARANTINE_DIR = "quarantine"
@@ -87,10 +90,6 @@ _QUARANTINE_DIR = "quarantine"
 
 class StoreError(RuntimeError):
     """The store directory cannot be used (not a directory, unwritable)."""
-
-
-def _line_checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +160,28 @@ def decode_program(data: dict, name: str = "stored-program") -> Program:
 # ----------------------------------------------------------------------
 
 
-def run_key(
-    fingerprint: str, policy_name: str, config_repr: str, check_51: bool
+def run_cell_key(
+    fingerprint: str, policy_name: str, config: object, check_51: bool
 ) -> str:
-    """Content key of a hardware run summary.
+    """Content key shared by every hardware run of one sweep cell.
 
-    ``config_repr`` must be the repr of the config *with the seed
-    applied* -- the run is a pure function of exactly these four inputs.
-    ``check_51`` is included because it adds condition-violation strings
-    to the summary.
+    A run is a pure function of (program, policy, config, seed, and
+    ``check_51``, which adds condition-violation strings to the summary).
+    Hashing the config with its seed set to 0 leaves the seed out, so a
+    sweep hashes once per cell and keys each run ``f"{cell}:{seed}"``
+    (:func:`run_key`).  ``config`` is a
+    :class:`~repro.sim.system.SystemConfig`.
     """
-    return hashlib.sha256(
-        repr((fingerprint, policy_name, config_repr, bool(check_51))).encode()
-    ).hexdigest()[:40]
+    identity = (
+        fingerprint, policy_name, repr(config.with_seed(0)), bool(check_51)
+    )
+    return hashlib.sha256(repr(identity).encode()).hexdigest()[:40]
+
+
+def run_key(cell: str, seed: int) -> str:
+    """Content key of one hardware run summary: its cell's
+    :func:`run_cell_key` and the seed."""
+    return f"{cell}:{seed}"
 
 
 def cell_key(fingerprint: str, policy_name: str) -> str:
@@ -319,19 +327,6 @@ class VerdictStore:
             pass
         self.stats.quarantined_segments += 1
 
-    @staticmethod
-    def _parse_line(line: str) -> Optional[dict]:
-        """One checksummed JSONL record, or None when it fails integrity."""
-        try:
-            record = json.loads(line)
-            checksum = record.pop("c")
-            payload = json.dumps(record, sort_keys=True)
-            if checksum != _line_checksum(payload):
-                return None
-            return record
-        except (ValueError, KeyError, TypeError, AttributeError):
-            return None
-
     def _absorb(self, record: dict, state: StoreState) -> None:
         """Fold one body record into ``state`` (raises on schema drift --
         the caller treats that as a corrupt line)."""
@@ -382,7 +377,7 @@ class VerdictStore:
                 continue
             if not lines:
                 continue  # freshly created by a concurrent writer
-            header = self._parse_line(lines[0])
+            header = log.decode(lines[0])
             if (
                 header is None
                 or header.get("kind") != "meta"
@@ -398,7 +393,7 @@ class VerdictStore:
                 continue
             damaged = False
             for index, line in enumerate(lines[1:], start=1):
-                record = self._parse_line(line)
+                record = log.decode(line)
                 if record is not None:
                     try:
                         self._absorb(record, state)
@@ -425,38 +420,24 @@ class VerdictStore:
 
     def _open_segment(self):
         if self._fh is None:
-            seq = 0
-            while True:
-                path = os.path.join(
-                    self.cache_dir,
-                    f"{_SEGMENT_PREFIX}{os.getpid()}-{seq}.jsonl",
-                )
-                try:
-                    fd = os.open(
-                        path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                    )
-                    break
-                except FileExistsError:
-                    seq += 1
-            self._fh = os.fdopen(fd, "w", encoding="utf-8")
-            self._write(
+            self._fh, _ = log.claim(
+                os.path.join(
+                    self.cache_dir, f"{_SEGMENT_PREFIX}{os.getpid()}-"
+                ),
+                ".jsonl",
+            )
+            log.append(
+                self._fh,
                 {
                     "kind": "meta",
                     "format": STORE_FORMAT,
                     "semantics": self.semantics,
-                }
+                },
             )
         return self._fh
 
-    def _write(self, record: dict) -> None:
-        payload = json.dumps(record, sort_keys=True)
-        record["c"] = _line_checksum(payload)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-
     def _append(self, record: dict) -> None:
-        self._open_segment()
-        self._write(record)
+        log.append(self._open_segment(), record)
 
     def record_sc(
         self,
@@ -574,53 +555,26 @@ class VerdictStore:
         """
         self.close()
         old_paths = self._segment_paths()
-        state = self.load()  # re-read from disk; also re-quarantines
+        live = self.load()  # re-read from disk; also re-quarantines
         old_paths = [p for p in old_paths if os.path.exists(p)]
-        records = 0
+        # Re-record the live state through the ordinary writers, which
+        # deduplicate against an emptied state: one record per entry.
+        self._state = StoreState()
         self._open_segment()
-        for fingerprint, program in state.programs.items():
-            self._write(
-                {
-                    "kind": "prog",
-                    "fp": fingerprint,
-                    "p": encode_program(program),
-                }
-            )
-            records += 1
-        for (fingerprint, result), verdict in state.sc.items():
-            self._write(
-                {
-                    "kind": "sc",
-                    "fp": fingerprint,
-                    "result": encode_result(result),
-                    "v": verdict,
-                }
-            )
-            records += 1
-        for (fingerprint, mode), verdict in state.drf0.items():
-            self._write(
-                {
-                    "kind": "drf0",
-                    "fp": fingerprint,
-                    "mode": drf0_mode_to_json(mode),
-                    "v": verdict,
-                }
-            )
-            records += 1
-        for key, summary in state.runs.items():
-            self._write({"kind": "run", "k": key, "s": summary})
-            records += 1
-        for cell, cost in state.costs.items():
-            self._write(
-                {
-                    "kind": "cost",
-                    "cell": cell,
-                    "n": cost.runs,
-                    "us": cost.wall_us,
-                    "st": cost.states,
-                }
-            )
-            records += 1
+        for fingerprint, program in live.programs.items():
+            self.record_program(fingerprint, program)
+        for (fingerprint, result), verdict in live.sc.items():
+            self.record_sc(fingerprint, result, verdict)
+        for (fingerprint, mode), verdict in live.drf0.items():
+            self.record_drf0(fingerprint, mode, verdict)
+        for key, summary in live.runs.items():
+            self.record_run(key, summary)
+        for cell, cost in live.costs.items():
+            self.record_cost(cell, cost.runs, cost.wall_us, cost.states)
+        records = (
+            len(live.programs) + len(live.sc) + len(live.drf0)
+            + len(live.runs) + len(live.costs)
+        )
         self.close()
         for path in old_paths:
             try:

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro import log
 from repro.cli import main
 from repro.hw import AdveHillPolicy, Definition1Policy
 from repro.sim.system import SystemConfig
@@ -19,7 +20,6 @@ from repro.verify import SEMANTICS_VERSION, VerdictStore, VerificationEngine
 from repro.verify.cache import program_fingerprint
 from repro.verify.store import (
     STORE_FORMAT,
-    _line_checksum,
     cell_key,
     decode_program,
     encode_program,
@@ -54,9 +54,7 @@ def segment_paths(cache_dir):
 
 def reencode(record: dict) -> str:
     """A record line with a *consistent* checksum (the poisoning case)."""
-    record = {k: v for k, v in record.items() if k != "c"}
-    record["c"] = _line_checksum(json.dumps(record, sort_keys=True))
-    return json.dumps(record, sort_keys=True)
+    return log.encode({k: v for k, v in record.items() if k != "c"})
 
 
 class TestWarmIdentity:
@@ -216,6 +214,31 @@ class TestIntegrity:
         store.load()
         assert store.stats.stale_segments == 1
         assert store.stats.quarantined_segments == 0
+
+    def test_previous_format_segment_stale_and_compacted_away(self, tmp_path):
+        """A segment of the format before the current one (format 1 keyed
+        runs by a per-seed hash) is a cold start: skipped, not
+        quarantined, and dropped by compaction."""
+        cache = str(tmp_path / "cache")
+        sweep(cache, seeds=2)
+        old = os.path.join(cache, "seg-1-0.jsonl")
+        header = {
+            "kind": "meta",
+            "format": STORE_FORMAT - 1,
+            "semantics": SEMANTICS_VERSION,
+        }
+        run = {"kind": "run", "k": "0" * 40, "s": {"seed": 0}}
+        with open(old, "w") as fh:
+            fh.write(reencode(header) + "\n" + reencode(run) + "\n")
+        store = VerdictStore(cache)
+        state = store.load()
+        assert store.stats.stale_segments == 1
+        assert store.stats.quarantined_segments == 0
+        assert "0" * 40 not in state.runs
+        segments, _ = VerdictStore(cache).compact()
+        assert segments == 2
+        assert not os.path.exists(old)
+        assert VerdictStore(cache).load().runs == state.runs
 
 
 def _flush_one(args):
@@ -384,3 +407,16 @@ class TestCacheCLI:
         assert main(argv) == 0
         warm_out = capsys.readouterr().out
         assert warm_out == cold_out
+
+    def test_fuzz_cache_dir_identical_stdout(self, tmp_path, capsys):
+        """Memo hit/miss counts depend on the store, so they go to stderr;
+        stdout is the same cold and warm."""
+        cache = str(tmp_path / "cache")
+        argv = ["fuzz", "--programs", "5", "--cache-dir", cache]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "memo" not in cold.out
+        assert "SC memo:" in cold.err and "0 misses" in warm.err
